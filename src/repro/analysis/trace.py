@@ -8,8 +8,7 @@ behind Fig. 10/11 style analyses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import ReproError
 from repro.sim import Simulator
@@ -19,16 +18,27 @@ class TraceError(ReproError):
     """Invalid span nesting or lifecycle."""
 
 
-@dataclass
 class Span:
-    """One named interval of simulated time."""
+    """One named interval of simulated time.
 
-    name: str
-    begin_s: float
-    end_s: Optional[float] = None
-    parent: Optional["Span"] = None
-    children: list["Span"] = field(default_factory=list)
-    attributes: dict[str, object] = field(default_factory=dict)
+    A load replay retains one span tree per request, so a span is lean:
+    no parent back-pointer, ``attributes`` is the dict it was opened
+    with (not a copy), and ``children`` is a shared ``()`` until the
+    first child arrives.
+    """
+
+    __slots__ = ("name", "begin_s", "end_s", "children", "attributes")
+
+    def __init__(self, name: str, begin_s: float, attributes: dict[str, object]):
+        self.name = name
+        self.begin_s = begin_s
+        self.end_s: Optional[float] = None
+        self.children: list[Span] | tuple[()] = ()
+        self.attributes = attributes
+
+    def __repr__(self) -> str:
+        return (f"Span({self.name!r}, begin_s={self.begin_s!r}, "
+                f"end_s={self.end_s!r}, children={len(self.children)})")
 
     @property
     def duration_s(self) -> float:
@@ -47,6 +57,45 @@ class Span:
         return self.duration_s - sum(child.duration_s for child in self.children)
 
 
+def open_span(stack: list[Span], name: str, now: float,
+              attributes: dict[str, object]) -> Span:
+    """Open a span under the innermost open one on ``stack`` (if any)
+    and push it."""
+    span = Span(name, now, attributes)
+    if stack:
+        parent = stack[-1]
+        if parent.children:
+            parent.children.append(span)
+        else:
+            parent.children = [span]
+    stack.append(span)
+    return span
+
+
+def close_span(stack: list[Span], span: Span, now: float) -> Span:
+    """Close ``span``, which must be the innermost open one, and pop it."""
+    if not stack or stack[-1] is not span:
+        raise TraceError(f"span {span.name!r} is not the innermost open span")
+    span.end_s = now
+    stack.pop()
+    return span
+
+
+def render_spans(roots: Iterable[Span]) -> str:
+    """An indented text timeline of the trees under ``roots``."""
+    lines: list[str] = []
+
+    def walk(span, depth):
+        duration = "OPEN" if span.open else f"{span.duration_s * 1e3:9.3f} ms"
+        lines.append(f"{'  ' * depth}{span.name:<24} {duration}")
+        for child in span.children:
+            walk(child, depth + 1)
+
+    for root in roots:
+        walk(root, 0)
+    return "\n".join(lines)
+
+
 class Tracer:
     """Records a tree of spans per logical trace."""
 
@@ -57,33 +106,18 @@ class Tracer:
 
     def begin(self, name: str, **attributes) -> Span:
         """Open a span nested under the innermost open one."""
-        parent = self._stack[-1] if self._stack else None
-        span = Span(
-            name=name,
-            begin_s=self.sim.now,
-            parent=parent,
-            attributes=dict(attributes),
-        )
-        if parent is not None:
-            parent.children.append(span)
-        else:
+        span = open_span(self._stack, name, self.sim.now, attributes)
+        if len(self._stack) == 1:
             self.roots.append(span)
-        self._stack.append(span)
         return span
 
     def end(self, span: Span) -> Span:
         """Close a span; must be the innermost open one."""
-        if not self._stack or self._stack[-1] is not span:
-            raise TraceError(f"span {span.name!r} is not the innermost open span")
-        if span.end_s is not None:
-            raise TraceError(f"span {span.name!r} already closed")
-        span.end_s = self.sim.now
-        self._stack.pop()
-        return span
+        return close_span(self._stack, span, self.sim.now)
 
-    def span(self, name: str, **attributes) -> "_SpanContext":
+    def span(self, name: str, **attributes) -> "SpanContext":
         """Context manager form: ``with tracer.span("exec"): ...``."""
-        return _SpanContext(self, name, attributes)
+        return SpanContext(self.begin, self.end, name, attributes)
 
     def find(self, name: str) -> list[Span]:
         """All spans with ``name``, depth-first."""
@@ -100,31 +134,26 @@ class Tracer:
         return found
 
     def render(self) -> str:
-        """An indented text timeline of all closed root spans."""
-        lines: list[str] = []
-
-        def walk(span, depth):
-            duration = "OPEN" if span.open else f"{span.duration_s * 1e3:9.3f} ms"
-            lines.append(f"{'  ' * depth}{span.name:<24} {duration}")
-            for child in span.children:
-                walk(child, depth + 1)
-
-        for root in self.roots:
-            walk(root, 0)
-        return "\n".join(lines)
+        """An indented text timeline of all root spans."""
+        return render_spans(self.roots)
 
 
-class _SpanContext:
-    def __init__(self, tracer: Tracer, name: str, attributes: dict):
-        self.tracer = tracer
+class SpanContext:
+    """``with``-block around a ``begin``/``end`` pair of callables."""
+
+    __slots__ = ("begin", "end", "name", "attributes", "span")
+
+    def __init__(self, begin, end, name: str, attributes: dict):
+        self.begin = begin
+        self.end = end
         self.name = name
         self.attributes = attributes
         self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self.span = self.tracer.begin(self.name, **self.attributes)
+        self.span = self.begin(self.name, **self.attributes)
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self.span is not None
-        self.tracer.end(self.span)
+        self.end(self.span)

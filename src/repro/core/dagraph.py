@@ -2,7 +2,7 @@
 
 §4.1: "Users can also construct a function chain (or DAG)".  The Alexa
 skill is really a tree (smarthome fans out to door and light); this
-module models arbitrary DAGs over :mod:`networkx`, schedules them with
+module models arbitrary DAGs as dict adjacency, schedules them with
 chain-style co-location, and executes them with the same direct-connect
 FIFO discipline: a node fires once every predecessor's message has
 arrived, then writes every successor's FIFO.
@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import networkx as nx
 
 from repro import config
 from repro.errors import SchedulingError, WorkloadError
@@ -33,44 +31,78 @@ class DagEdge:
 
 
 class FunctionDag:
-    """A DAG of deployed functions."""
+    """A DAG of deployed functions.
+
+    Nodes keep their first-seen order; each node's successors and
+    predecessors keep edge-insertion order (a repeated edge keeps its
+    first position and takes the last payload).
+    """
 
     def __init__(self, name: str, edges: Sequence[DagEdge]):
         if not edges:
             raise WorkloadError(f"DAG {name!r} needs at least one edge")
         self.name = name
-        self.graph = nx.DiGraph()
+        self._succ: dict[str, dict[str, int]] = {}
+        self._pred: dict[str, dict[str, int]] = {}
         for edge in edges:
-            self.graph.add_edge(edge.src, edge.dst, payload=edge.payload_bytes)
-        if not nx.is_directed_acyclic_graph(self.graph):
+            for node in (edge.src, edge.dst):
+                if node not in self._succ:
+                    self._succ[node] = {}
+                    self._pred[node] = {}
+            self._succ[edge.src][edge.dst] = edge.payload_bytes
+            self._pred[edge.dst][edge.src] = edge.payload_bytes
+        self._order = self._topological_order()
+        if self._order is None:
             raise WorkloadError(f"DAG {name!r} contains a cycle")
-        roots = [n for n in self.graph.nodes if self.graph.in_degree(n) == 0]
+        roots = [n for n in self._succ if not self._pred[n]]
         if len(roots) != 1:
             raise WorkloadError(
                 f"DAG {name!r} must have exactly one entry function, got {roots}"
             )
         self.entry = roots[0]
-        self.sinks = [n for n in self.graph.nodes if self.graph.out_degree(n) == 0]
+        self.sinks = [n for n, succ in self._succ.items() if not succ]
+
+    def _topological_order(self) -> Optional[list[str]]:
+        """Kahn's algorithm, one generation of in-degree-zero nodes at a
+        time; ``None`` when a cycle leaves nodes unvisited."""
+        in_degree = {n: len(pred) for n, pred in self._pred.items()}
+        generation = [n for n, d in in_degree.items() if d == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            ready = []
+            for node in generation:
+                for child in self._succ[node]:
+                    in_degree[child] -= 1
+                    if in_degree[child] == 0:
+                        ready.append(child)
+            generation = ready
+        return order if len(order) == len(self._succ) else None
 
     @property
     def nodes(self) -> list[str]:
         """Function names in a topological order."""
-        return list(nx.topological_sort(self.graph))
+        return list(self._order)
 
     @property
     def edges(self) -> list[DagEdge]:
-        """All edges with payloads."""
+        """All edges with payloads, grouped by source node."""
         return [
-            DagEdge(src, dst, data["payload"])
-            for src, dst, data in self.graph.edges(data=True)
+            DagEdge(src, dst, payload)
+            for src, succ in self._succ.items()
+            for dst, payload in succ.items()
         ]
+
+    def predecessors(self, node: str) -> list[str]:
+        """The nodes with an edge into ``node``, in edge order."""
+        return list(self._pred[node])
 
     def critical_path(self, exec_time_of) -> list[str]:
         """The execution-weighted longest path from entry to a sink."""
         longest: dict[str, tuple[float, list[str]]] = {}
         for node in self.nodes:
             best = (0.0, [])
-            for pred in self.graph.predecessors(node):
+            for pred in self._pred[node]:
                 cost, path = longest[pred]
                 if cost > best[0]:
                     best = (cost, path)
@@ -205,11 +237,11 @@ class DagGraphEngine:
         def node_proc(node):
             pu = placements[node]
             shim = cluster.shim_on(pu.pu_id)
-            in_degree = max(1, dag.graph.in_degree(node))
-            for _ in range(in_degree):
+            preds = dag.predecessors(node)
+            for _ in range(max(1, len(preds))):
                 yield from shim.xfifo_read(groups[node], self_handles[node])
             yield self.sim.timeout(self._msg_time(instances[node], pu))
-            for pred in dag.graph.predecessors(node):
+            for pred in preds:
                 edge_latency[(pred, node)] = self.sim.now - t_sent[(pred, node)]
             duration = instances[node].function.work.exec_time(pu)
             pu.clock.mark_busy()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import ReproError
@@ -167,13 +168,13 @@ class Histogram:
         return self._sum
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
+        """Record one observation in the first bucket whose bound is
+        ``>= value``.  NaN counts in ``count`` and ``sum`` but lands in
+        no bucket."""
         self._sum += value
         self._count += 1
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self._counts[i] += 1
-                return
+        if value == value:
+            self._counts[bisect_left(self.bounds, value)] += 1
 
     def bucket_counts(self) -> list[tuple[float, int]]:
         """Cumulative (upper_bound, count) pairs, Prometheus-style."""

@@ -1,8 +1,8 @@
 """Per-invocation lifecycle spans over the simulated clock.
 
-Each admitted request gets a :class:`RequestTrace`: a dedicated
-:class:`~repro.analysis.trace.Tracer` whose root ``request`` span holds
-the lifecycle phases the paper's breakdowns reason about::
+Each admitted request gets a :class:`RequestTrace`: a span tree whose
+root ``request`` span holds the lifecycle phases the paper's
+breakdowns reason about::
 
     request{function, request_id, pu, pu_kind, start_kind}
       admit           gateway admission
@@ -13,9 +13,9 @@ the lifecycle phases the paper's breakdowns reason about::
         nipc          accelerator DMA transfers (transport="dma")
       respond         pool release + billing
 
-A per-request tracer (rather than one global tracer) is what makes the
-trees correct under concurrency: interleaved requests in the simulator
-would corrupt a single tracer's span stack.
+Each trace keeps its own span stack (rather than sharing one global
+tracer): interleaved requests in the simulator would corrupt a shared
+stack.
 
 ``start_kind`` distinguishes the three start paths: ``cold`` (baseline
 container boot), ``fork`` (cfork from a template), ``warm`` (pool hit).
@@ -25,7 +25,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.trace import Span, Tracer
+from repro.analysis.trace import (
+    Span,
+    SpanContext,
+    TraceError,
+    close_span,
+    open_span,
+    render_spans,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observability import Observability
@@ -64,26 +71,37 @@ FANOUT_STAGES = ("partition", "fanout", "gather", "reduce")
 
 
 class RequestTrace:
-    """The span tree of one request, recorded against sim time."""
+    """The span tree of one request, recorded against sim time.
+
+    The trace keeps its own stack of open spans (the root first); the
+    stack is released once the trace finishes, fails or is shed, so a
+    retained trace holds only its span tree.
+    """
+
+    __slots__ = ("obs", "function", "root", "finished", "_stack")
 
     def __init__(self, obs: "Observability", function: str):
         self.obs = obs
         self.function = function
-        self.tracer = Tracer(obs.sim)
-        self.root = self.tracer.begin("request", function=function)
+        self.root = Span("request", obs.sim.now, {"function": function})
         self.finished = False
+        self._stack: list[Span] | tuple[()] = [self.root]
 
     def begin_phase(self, name: str, **attributes) -> Span:
         """Open a span nested under the innermost open one."""
-        return self.tracer.begin(name, **attributes)
+        if not self._stack:
+            raise TraceError(
+                f"cannot open {name!r}: the {self.function!r} trace is finished"
+            )
+        return open_span(self._stack, name, self.obs.sim.now, attributes)
 
     def end_phase(self, span: Span) -> Span:
         """Close the innermost open span."""
-        return self.tracer.end(span)
+        return close_span(self._stack, span, self.obs.sim.now)
 
-    def phase(self, name: str, **attributes):
+    def phase(self, name: str, **attributes) -> SpanContext:
         """Context-manager form of begin/end."""
-        return self.tracer.span(name, **attributes)
+        return SpanContext(self.begin_phase, self.end_phase, name, attributes)
 
     def annotate(self, **attributes) -> None:
         """Attach attributes to the root ``request`` span."""
@@ -93,8 +111,8 @@ class RequestTrace:
         """Close the request span and publish the trace's metrics."""
         if self.finished:
             return
-        self.tracer.end(self.root)
-        self.finished = True
+        close_span(self._stack, self.root, self.obs.sim.now)
+        self._release()
         self.obs.record(self)
 
     def fail(self, error: str) -> None:
@@ -103,9 +121,7 @@ class RequestTrace:
         histograms only ever see completed requests)."""
         if self.finished:
             return
-        while self.tracer._stack:
-            self.tracer.end(self.tracer._stack[-1])
-        self.finished = True
+        self._release()
         self.annotate(error=error)
         self.obs.record_failure(self)
 
@@ -118,9 +134,7 @@ class RequestTrace:
         failure counters."""
         if self.finished:
             return
-        while self.tracer._stack:
-            self.tracer.end(self.tracer._stack[-1])
-        self.finished = True
+        self._release()
         self.annotate(shed=reason)
         self.obs.record_shed(self)
 
@@ -131,8 +145,7 @@ class RequestTrace:
         abandoned attempt leaves its phase spans open, and the next
         attempt's spans must nest directly under the root again.
         """
-        while len(self.tracer._stack) > 1:
-            self.tracer.end(self.tracer._stack[-1])
+        self._unwind_to(1)
 
     def phases(self) -> dict[str, float]:
         """Phase name -> duration (direct children of the root)."""
@@ -140,7 +153,20 @@ class RequestTrace:
 
     def render(self) -> str:
         """Indented text timeline of the request."""
-        return self.tracer.render()
+        return render_spans((self.root,))
+
+    def _unwind_to(self, depth: int) -> None:
+        stack = self._stack
+        now = self.obs.sim.now
+        while len(stack) > depth:
+            stack.pop().end_s = now
+
+    def _release(self) -> None:
+        """Close every open span, drop the stack and mark the trace
+        finished: later phases raise :class:`TraceError`."""
+        self._unwind_to(0)
+        self._stack = ()
+        self.finished = True
 
 
 class _NullSpan:

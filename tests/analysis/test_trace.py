@@ -99,3 +99,18 @@ def test_render_produces_indented_tree():
     assert lines[0].startswith("request")
     assert lines[1].startswith("  exec")
     assert "ms" in lines[1]
+
+
+def test_spans_are_lean():
+    # Replays retain one tree per request: no per-span __dict__, no
+    # parent back-pointer (a reference cycle per span), and no list on
+    # a leaf.
+    tracer = Tracer(Simulator())
+    with tracer.span("request"):
+        with tracer.span("exec", pu="dpu0") as leaf:
+            pass
+    [root] = tracer.roots
+    assert root.children == [leaf]
+    assert leaf.children == ()
+    assert not hasattr(leaf, "__dict__")
+    assert not hasattr(leaf, "parent")

@@ -67,6 +67,26 @@ def test_histogram_buckets_are_cumulative():
     assert h.sum == pytest.approx(106.5)
 
 
+def test_histogram_boundary_hits_land_in_their_own_bucket():
+    h = Histogram(buckets=(1.0, 2.0, 4.0))
+    for v in (-5.0, 0.0, 1.0, 2.0, 4.0, 4.0000001, math.inf):
+        h.observe(v)
+    # A value equal to a bound belongs to that bound's (``le``) bucket;
+    # anything above the last finite bound, +Inf included, to +Inf.
+    assert h.bucket_counts() == [
+        (1.0, 3), (2.0, 4), (4.0, 5), (math.inf, 7),
+    ]
+
+
+def test_histogram_nan_counts_but_lands_in_no_bucket():
+    h = Histogram(buckets=(1.0, 2.0))
+    h.observe(0.5)
+    h.observe(math.nan)
+    assert h.count == 2
+    assert math.isnan(h.sum)
+    assert h.bucket_counts() == [(1.0, 1), (2.0, 1), (math.inf, 1)]
+
+
 def test_histogram_rejects_unsorted_bounds():
     with pytest.raises(ObsError):
         Histogram(buckets=(2.0, 1.0))

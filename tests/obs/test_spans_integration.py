@@ -2,6 +2,8 @@
 complete, properly nested span tree, and cold/fork/warm starts land in
 the right ``start_kind`` label."""
 
+import gc
+
 import pytest
 
 from repro import (
@@ -14,6 +16,7 @@ from repro import (
     WorkProfile,
     build_full_machine,
 )
+from repro.analysis.trace import TraceError
 from repro.hardware import FabricResources, KernelSpec
 from repro.obs.spans import LIFECYCLE_PHASES
 
@@ -209,3 +212,56 @@ def test_failed_invocation_counts_failure_not_latency(molecule):
     requests = molecule.obs.registry.get("repro_requests_total")
     assert requests.total() == 0
     assert molecule.obs.completed_traces() == []
+
+
+def _retained_tracked(trace, shared):
+    """GC-tracked objects reachable from ``trace``, not crossing into
+    ``shared`` objects or classes."""
+    seen = {id(obj) for obj in shared}
+    todo, tracked = [trace], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if gc.is_tracked(obj):
+            tracked.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return tracked
+
+
+def test_finished_trace_retains_only_its_span_tree(molecule):
+    # A replay retains every trace, and each gen-2 collection walks all
+    # of them: a warm request must keep the trace, the root span, the
+    # root's children list and one span per phase, and nothing else
+    # (no open-span stack, per-request tracer, parent back-pointers or
+    # per-leaf children lists).
+    molecule.deploy_now(_python_fn())
+    molecule.invoke_now("hello", kind=PuKind.CPU)
+    molecule.invoke_now("hello", kind=PuKind.CPU)
+    trace = _last_trace(molecule)
+    assert trace.root.attributes["start_kind"] == "warm"
+    tracked = _retained_tracked(trace, (molecule.obs, molecule.sim))
+    assert len(tracked) <= 3 + len(trace.root.children), [
+        type(obj).__name__ for obj in tracked
+    ]
+
+
+def test_phase_after_finish_raises(molecule):
+    trace = molecule.obs.begin_invocation("f")
+    trace.end_phase(trace.begin_phase("admit"))
+    trace.finish()
+    with pytest.raises(TraceError):
+        trace.begin_phase("exec")
+    assert [c.name for c in trace.root.children] == ["admit"]
+    assert molecule.obs.completed_traces() == [trace]
+
+
+@pytest.mark.parametrize("abandon", ["fail", "shed"])
+def test_phase_after_abandon_raises(molecule, abandon):
+    trace = molecule.obs.begin_invocation("f")
+    exec_span = trace.begin_phase("exec")
+    getattr(trace, abandon)("boom")
+    assert not exec_span.open and not trace.root.open
+    with pytest.raises(TraceError):
+        trace.begin_phase("respond")
