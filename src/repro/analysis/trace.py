@@ -21,10 +21,10 @@ class TraceError(ReproError):
 class Span:
     """One named interval of simulated time.
 
-    A load replay retains one span tree per request, so a span is lean:
-    no parent back-pointer, ``attributes`` is the dict it was opened
-    with (not a copy), and ``children`` is a shared ``()`` until the
-    first child arrives.
+    Observability keeps a ring of 1,024 request span trees, so a span
+    is lean: no parent back-pointer, ``attributes`` is the dict it was
+    opened with (not a copy), and ``children`` is a shared ``()`` until
+    the first child arrives.
     """
 
     __slots__ = ("name", "begin_s", "end_s", "children", "attributes")

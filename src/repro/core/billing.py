@@ -20,7 +20,7 @@ class BillingError(ReproError):
     """Invalid billing operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One billed invocation."""
 
@@ -118,10 +118,6 @@ class BillingLedger:
     def by_pu_kind(self, kind: PuKind) -> BillingSummary:
         """Summary for one PU kind."""
         return self._summarize(e for e in self._entries if e.pu_kind == kind)
-
-    def hedge_waste_total(self) -> BillingSummary:
-        """Summary of the entries charged for discarded hedge work."""
-        return self._summarize(e for e in self._entries if e.hedge_waste)
 
     def cheapest_kind_for(self, function: str) -> Optional[PuKind]:
         """The PU kind that has billed this function the least per

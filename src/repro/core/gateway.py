@@ -61,6 +61,10 @@ class ApiGateway:
         """Absolute sim-time deadline of a request (None if unbounded)."""
         return self._deadlines.get(request_id)
 
+    def retire(self, request_id: Optional[int]) -> None:
+        """Drop the deadline of a request that is answered, shed or failed."""
+        self._deadlines.pop(request_id, None)
+
     def admit(self, deadline_s: Optional[float] = None):
         """Generator: admit one request, returning its request id.
 

@@ -293,6 +293,7 @@ class Invoker:
             if self.obs is not None
             else NULL_TRACE
         )
+        request_id = None
         try:
             admit_span = trace.begin_phase("admit")
             request_id = yield from gateway.admit(deadline_s=deadline_s)
@@ -390,6 +391,8 @@ class Invoker:
         except Exception as exc:
             trace.fail(type(exc).__name__)
             raise
+        finally:
+            gateway.retire(request_id)
         result.admitted_s = admitted_s
         trace.finish()
         if hedger is not None and not result.cache:
@@ -765,10 +768,6 @@ class Invoker:
         if self.health is not None:
             attempt_info["epoch"] = self.health.epoch(pu)
             self.health.begin_attempt(pu)
-
-    def _pu_down(self, pu: ProcessingUnit) -> bool:
-        """True while an injected crash holds this PU down."""
-        return self.health is not None and self.health.is_down(pu)
 
     def _crashed_during(
         self, pu: ProcessingUnit, attempt_info: Optional[dict]

@@ -37,7 +37,7 @@ from repro.workloads.traces import AzureLikeTrace, DiurnalProfile, OnOffProfile
 PLAN_SCHEMA = "repro-arrivals/1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrival:
     """One planned invocation: when, which function, how dispatched."""
 

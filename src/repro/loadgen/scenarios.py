@@ -290,12 +290,10 @@ def build_runtime(
 ):
     """Boot a deployment sized for ``plan`` with a sharded front end.
 
-    The observability trace buffer is sized to the plan so per-stage
-    percentiles cover every request even on 10k+ runs.  ``prewarm``
-    arms the warm-path engine (cold-start coalescing + predictive
-    pre-warm); ``hedge`` arms the tail-latency hedging engine (pass
-    True for defaults or a HedgeConfig for full control, with
-    ``hedge_percentile`` overriding the trigger percentile);
+    ``prewarm`` arms the warm-path engine (cold-start coalescing +
+    predictive pre-warm); ``hedge`` arms the tail-latency hedging
+    engine (pass True for defaults or a HedgeConfig for full control,
+    with ``hedge_percentile`` overriding the trigger percentile);
     ``overload`` arms the overload controller (True for defaults or an
     OverloadConfig); ``hedge_budget`` sets the hedge clone token-bucket
     ratio (implies ``hedge``).  All are off by default so existing runs
@@ -310,14 +308,7 @@ def build_runtime(
     """
     sim = Simulator(batched=batched)
     machine = build_cpu_dpu_machine(sim, num_dpus=num_dpus)
-    # One trace per request; a fan-out arrival is one *job* that emits
-    # its own trace plus one per partition task and stage request.
-    traces_per_arrival = (
-        FANOUT_PARTITIONS + 3 if fanout is not None else 1
-    )
-    obs = Observability(
-        sim, max_traces=traces_per_arrival * len(plan) + 1024
-    )
+    obs = Observability(sim)
     warmpath = None
     if prewarm:
         from repro.warmpath import WarmPathConfig

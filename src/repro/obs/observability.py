@@ -18,17 +18,21 @@ coupling below ``core.molecule``, which wires everything.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import RequestTrace
+from repro.obs.spans import LIFECYCLE_PHASES, RequestTrace
 
 #: Finer buckets for sub-millisecond paths (XPUcalls, nIPC, admission).
 MICRO_BUCKETS = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4,
     5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1, 1.0,
 )
+
+#: One bit per lifecycle phase, to spot a phase a trace reopened.
+_STAGE_BITS = {name: 1 << i for i, name in enumerate(LIFECYCLE_PHASES)}
 
 
 class Observability:
@@ -38,12 +42,15 @@ class Observability:
         self,
         sim,
         registry: Optional[MetricsRegistry] = None,
-        max_traces: int = 10_000,
+        max_traces: int = 1024,
     ):
         self.sim = sim
         self.registry = registry or MetricsRegistry()
-        #: Completed request traces, oldest evicted first.
+        #: The most recent request traces, oldest evicted first.
         self.traces: deque[RequestTrace] = deque(maxlen=max_traces)
+        #: Lifecycle phase -> its ``phases()`` duration in every trace
+        #: ever completed, in record order (never evicted).
+        self.stage_samples = {name: array("d") for name in LIFECYCLE_PHASES}
 
         r = self.registry
         # -- request lifecycle -----------------------------------------------------
@@ -271,7 +278,7 @@ class Observability:
         # (Label-less families memoize their single child inside
         # MetricFamily, lazily, so unobserved families render no series.)
         self._request_children: dict[tuple[str, str, str], tuple] = {}
-        self._phase_children: dict[tuple[str, str, str, str], object] = {}
+        self._phase_children: dict[tuple[str, str, str, str], tuple] = {}
         self._start_children: dict[str, object] = {}
         self._failure_children: dict[tuple[str, str], object] = {}
         self._placement_children: dict[str, object] = {}
@@ -300,7 +307,8 @@ class Observability:
         return RequestTrace(self, function)
 
     def record(self, trace: RequestTrace) -> None:
-        """Publish a finished trace into the metric families."""
+        """Publish a finished trace into the metric families and the
+        stage samples."""
         root = trace.root
         attrs = root.attributes
         function = str(attrs.get("function", trace.function))
@@ -326,16 +334,29 @@ class Observability:
             self._start_children[start_kind] = starts
         starts.inc()
         phase_children = self._phase_children
+        seen = 0
         for child in root.children:
-            phase_key = (child.name, function, pu_kind, start_kind)
+            name = child.name
+            duration_s = child.duration_s
+            phase_key = (name, function, pu_kind, start_kind)
             phase = phase_children.get(phase_key)
             if phase is None:
-                phase = self.phase_seconds.bind(
-                    phase=child.name, function=function,
-                    pu_kind=pu_kind, start_kind=start_kind,
+                phase = phase_children[phase_key] = (
+                    self.phase_seconds.bind(
+                        phase=name, function=function,
+                        pu_kind=pu_kind, start_kind=start_kind,
+                    ),
+                    self.stage_samples.get(name),
+                    _STAGE_BITS.get(name, 0),
                 )
-                phase_children[phase_key] = phase
-            phase.observe(child.duration_s)
+            histogram, samples, bit = phase
+            histogram.observe(duration_s)
+            if seen & bit:
+                # A retry reopened the phase: keep the last, as phases().
+                samples[-1] = duration_s
+            elif samples is not None:
+                samples.append(duration_s)
+                seen |= bit
         self.traces.append(trace)
 
     def record_failure(self, trace: RequestTrace) -> None:

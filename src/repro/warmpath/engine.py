@@ -141,11 +141,6 @@ class WarmPathEngine:
 
     # -- cold-start coalescing ------------------------------------------------------
 
-    @property
-    def coalesce_enabled(self) -> bool:
-        """True while misses should try to join a single-flight batch."""
-        return self.config.coalesce
-
     def joinable_batch(self, function: "FunctionDef", kind, pu,
                        exclude=None) -> Optional[CoalescedBatch]:
         """An open batch this miss may join (None: become a leader).

@@ -231,11 +231,11 @@ def _retained_tracked(trace, shared):
 
 
 def test_finished_trace_retains_only_its_span_tree(molecule):
-    # A replay retains every trace, and each gen-2 collection walks all
-    # of them: a warm request must keep the trace, the root span, the
-    # root's children list and one span per phase, and nothing else
-    # (no open-span stack, per-request tracer, parent back-pointers or
-    # per-leaf children lists).
+    # The trace ring keeps the last 1,024 traces, and each gen-2
+    # collection walks all of them: a warm request must keep the trace,
+    # the root span, the root's children list and one span per phase,
+    # and nothing else (no open-span stack, per-request tracer, parent
+    # back-pointers or per-leaf children lists).
     molecule.deploy_now(_python_fn())
     molecule.invoke_now("hello", kind=PuKind.CPU)
     molecule.invoke_now("hello", kind=PuKind.CPU)
@@ -255,6 +255,28 @@ def test_phase_after_finish_raises(molecule):
         trace.begin_phase("exec")
     assert [c.name for c in trace.root.children] == ["admit"]
     assert molecule.obs.completed_traces() == [trace]
+
+
+def test_stage_samples_stream_the_last_span_of_each_phase(molecule):
+    obs = molecule.obs
+    trace = obs.begin_invocation("f")
+    names = ("admit", "queue", "schedule", "exec", "schedule", "exec", "respond")
+    for i, name in enumerate(names):
+        span = trace.begin_phase(name)
+        trace.end_phase(span)
+        span.end_s = span.begin_s + i + 1
+    trace.finish()
+    for abandon in ("fail", "shed"):
+        other = obs.begin_invocation("f")
+        other.end_phase(other.begin_phase("admit"))
+        getattr(other, abandon)("boom")
+    streamed = {name: list(s) for name, s in obs.stage_samples.items() if s}
+    assert streamed == {"admit": [1.0], "schedule": [5.0], "exec": [6.0],
+                        "respond": [7.0]}
+    assert streamed == {
+        name: [duration] for name, duration in trace.phases().items()
+        if name in LIFECYCLE_PHASES
+    }
 
 
 @pytest.mark.parametrize("abandon", ["fail", "shed"])
