@@ -39,6 +39,21 @@ def golden_seed_snapshot(seed: int = GOLDEN_SEED) -> dict:
     cold/fork/warm invocation mix, so the snapshot covers every event
     path the kernel fast paths touch.
     """
+    from repro.faults.scenarios import run_scenario
+
+    crash = run_scenario("dpu-crash", seed=seed)
+    nipc = run_scenario("flaky-nipc", seed=seed)
+    return {
+        "seed": seed,
+        "dpu_crash": crash["snapshot"],
+        "flaky_nipc": nipc["snapshot"],
+        "warm_cold_mix": warm_cold_mix_runtime(seed).metrics_snapshot(),
+    }
+
+
+def warm_cold_mix_runtime(seed: int = GOLDEN_SEED):
+    """The golden snapshot's plain runtime, every engine off: one
+    function invoked cold, warm, on the DPU and force-cold."""
     from repro import (
         FunctionCode,
         FunctionDef,
@@ -47,10 +62,6 @@ def golden_seed_snapshot(seed: int = GOLDEN_SEED) -> dict:
         PuKind,
         WorkProfile,
     )
-    from repro.faults.scenarios import run_scenario
-
-    crash = run_scenario("dpu-crash", seed=seed)
-    nipc = run_scenario("flaky-nipc", seed=seed)
 
     molecule = MoleculeRuntime.create(num_dpus=1, seed=seed)
     hello = FunctionDef(
@@ -64,13 +75,7 @@ def golden_seed_snapshot(seed: int = GOLDEN_SEED) -> dict:
     molecule.invoke_now("hello", kind=PuKind.CPU)
     molecule.invoke_now("hello", kind=PuKind.DPU)
     molecule.invoke_now("hello", force_cold=True)
-
-    return {
-        "seed": seed,
-        "dpu_crash": crash["snapshot"],
-        "flaky_nipc": nipc["snapshot"],
-        "warm_cold_mix": molecule.metrics_snapshot(),
-    }
+    return molecule
 
 
 def build_testbed(num_dpus: int = 1, dpu_model: str = "bf1", full: bool = False) -> Testbed:
