@@ -11,12 +11,12 @@ gateway in the path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro import config
 from repro.errors import SchedulingError, WorkloadError
-from repro.hardware.pu import ProcessingUnit
+from repro.hardware.pu import ProcessingUnit, PuKind
 from repro.xpu.capability import Permission
 from repro.xpu.fifo import FifoEnd
 
@@ -24,6 +24,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.invoker import FunctionInstance
     from repro.core.molecule import MoleculeRuntime
     from repro.sandbox.runf import RunfRuntime
+
+
+def msg_time(instance, pu: ProcessingUnit) -> float:
+    """Language-runtime serialize/deserialize cost of one side of a DAG
+    message on ``pu`` (part of every measured hop)."""
+    slowdown = instance.function.work.dpu_slowdown
+    if pu.kind is PuKind.DPU and slowdown is not None:
+        factor = slowdown
+    else:
+        factor = 1.0 / pu.spec.speed
+    return config.DAG_MSG_MS * config.MS * factor
 
 
 @dataclass(frozen=True)
@@ -185,18 +196,6 @@ class DagEngine:
         t_send = [0.0] * n
         t_recv = [0.0] * n
         exec_total = [0.0]
-
-        def msg_time(instance, pu) -> float:
-            """Language-runtime serialize/deserialize cost of one side of
-            a DAG message on ``pu`` (part of every measured hop)."""
-            slowdown = instance.function.work.dpu_slowdown
-            from repro.hardware.pu import PuKind
-
-            if pu.kind is PuKind.DPU and slowdown is not None:
-                factor = slowdown
-            else:
-                factor = 1.0 / pu.spec.speed
-            return config.DAG_MSG_MS * config.MS * factor
 
         def stage_proc(i):
             pu = placements[i]

@@ -11,12 +11,13 @@ arrived, then writes every successor's FIFO.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro import config
+from repro.core.dag import msg_time
 from repro.errors import SchedulingError, WorkloadError
-from repro.hardware.pu import ProcessingUnit, PuKind
+from repro.hardware.pu import ProcessingUnit
 from repro.xpu.capability import Permission
 from repro.xpu.fifo import FifoEnd
 
@@ -240,7 +241,7 @@ class DagGraphEngine:
             preds = dag.predecessors(node)
             for _ in range(max(1, len(preds))):
                 yield from shim.xfifo_read(groups[node], self_handles[node])
-            yield self.sim.timeout(self._msg_time(instances[node], pu))
+            yield self.sim.timeout(msg_time(instances[node], pu))
             for pred in preds:
                 edge_latency[(pred, node)] = self.sim.now - t_sent[(pred, node)]
             duration = instances[node].function.work.exec_time(pu)
@@ -249,7 +250,7 @@ class DagGraphEngine:
             pu.clock.mark_idle()
             exec_total[0] += duration
             instances[node].requests_served += 1
-            yield self.sim.timeout(self._msg_time(instances[node], pu))
+            yield self.sim.timeout(msg_time(instances[node], pu))
             for dst, payload, handle in out_handles[node]:
                 if dst != "__gateway__":
                     t_sent[(node, dst)] = self.sim.now
@@ -280,14 +281,6 @@ class DagGraphEngine:
             edge_latencies_s=edge_latency,
             placements={n: p.name for n, p in placements.items()},
         )
-
-    def _msg_time(self, instance, pu) -> float:
-        slowdown = instance.function.work.dpu_slowdown
-        if pu.kind is PuKind.DPU and slowdown is not None:
-            factor = slowdown
-        else:
-            factor = 1.0 / pu.spec.speed
-        return config.DAG_MSG_MS * config.MS * factor
 
 
 def alexa_tree() -> FunctionDag:

@@ -75,7 +75,8 @@ class ApiGateway:
         yield self.sim.timeout(self.overhead_ms * config.MS)
         self.requests_admitted += 1
         if self.obs is not None:
-            self.obs.on_gateway_admit(self.sim.now - began)
+            self.obs.count("repro_gateway_requests_total")
+            self.obs.observe("repro_gateway_admit_seconds", self.sim.now - began)
         request_id = next(self._request_ids)
         budget = deadline_s if deadline_s is not None else self.default_deadline_s
         if budget is not None:

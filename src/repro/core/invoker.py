@@ -215,8 +215,8 @@ class Invoker:
                 for instance in pool.reap_expired(self.sim.now):
                     self.sim.spawn(self._destroy(instance))
                     reaped += 1
-            if self.obs is not None:
-                self.obs.on_keepalive_reaped(reaped)
+            if reaped and self.obs is not None:
+                self.obs.count("repro_keepalive_reaped_total", n=reaped)
 
     @property
     def sim(self):
@@ -469,8 +469,9 @@ class Invoker:
             if degraded:
                 degraded_any = True
                 if self.obs is not None:
-                    self.obs.on_degraded(
-                        function.name, dispatch_kind.value, attempt_kind.value
+                    self.obs.count(
+                        "repro_degraded_total", function.name,
+                        dispatch_kind.value, attempt_kind.value,
                     )
                 trace.annotate(degraded=True)
             shield = DetachableTrace(trace)
@@ -541,7 +542,10 @@ class Invoker:
                     errors=errors,
                 )
             if self.obs is not None:
-                self.obs.on_retry(function.name, type(failure).__name__)
+                self.obs.count(
+                    "repro_retries_total", function.name,
+                    type(failure).__name__,
+                )
             backoff = self.retry_policy.backoff_s(attempts, self._retry_rng)
             if deadline_at is not None:
                 backoff = min(backoff, max(0.0, deadline_at - self.sim.now))
@@ -789,7 +793,7 @@ class Invoker:
     def _expire(self, function, request_id, attempts, errors):
         """Dead-letter a request that ran out of deadline and raise."""
         if self.obs is not None:
-            self.obs.on_deadline_exceeded(function.name)
+            self.obs.count("repro_deadline_exceeded_total", function.name)
         self._dead_letter(function, request_id, attempts, errors, "deadline")
         raise DeadlineExceeded(
             f"request {request_id} for {function.name!r} exceeded its "
@@ -808,7 +812,7 @@ class Invoker:
                 reason=reason,
             ))
         if self.obs is not None:
-            self.obs.on_dead_letter(function.name, reason)
+            self.obs.count("repro_dead_letters_total", function.name, reason)
 
     # -- CPU/DPU path -----------------------------------------------------------------
 

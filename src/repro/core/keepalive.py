@@ -283,5 +283,7 @@ class FpgaImagePlanner:
         if dropped:
             self.dropped += len(dropped)
             if self.obs is not None:
-                self.obs.on_planner_drop(len(dropped))
+                self.obs.count(
+                    "repro_fpga_planner_dropped_total", n=len(dropped)
+                )
         return ImagePlan(func_names=tuple(names), copies_each=copies)

@@ -420,68 +420,35 @@ class MoleculeRuntime:
     # -- reports ------------------------------------------------------------------------
 
     def _refresh_gauges(self) -> None:
-        """Sample point-in-time state (pools, DRAM) into the gauges."""
-        handles = getattr(self, "_gauge_handles", None)
-        if handles is None:
-            # Resolve every per-PU gauge child once; snapshots after the
-            # first reuse the bound handles.
-            registry = self.obs.registry
-            pool_size = registry.get("repro_warm_pool_size")
-            pool_hits = registry.get("repro_warm_pool_hits")
-            pool_misses = registry.get("repro_warm_pool_misses")
-            dram_used = registry.get("repro_pu_dram_used_mb")
-            breaker_state = registry.get("repro_breaker_state")
-            handles = self._gauge_handles = {
-                "pools": {
-                    pu_id: (
-                        pool_size.bind(pu=self.machine.pus[pu_id].name),
-                        pool_hits.bind(pu=self.machine.pus[pu_id].name),
-                        pool_misses.bind(pu=self.machine.pus[pu_id].name),
-                        dram_used.bind(pu=self.machine.pus[pu_id].name),
-                    )
-                    for pu_id in self.invoker.pools
-                },
-                "breakers": {
-                    pu.pu_id: breaker_state.bind(pu=pu.name)
-                    for pu in self.machine.pus.values()
-                },
-            }
+        """Sample point-in-time state (pools, DRAM, engines) into the
+        gauges."""
+        obs = self.obs
         for pu_id, pool in self.invoker.pools.items():
             pu = self.machine.pus[pu_id]
-            size_g, hits_g, misses_g, dram_g = handles["pools"][pu_id]
-            size_g.set(len(pool))
-            hits_g.set(pool.hits)
-            misses_g.set(pool.misses)
-            dram_g.set(pu.dram_used_mb)
+            obs.set("repro_warm_pool_size", len(pool), pu.name)
+            obs.set("repro_warm_pool_hits", pool.hits, pu.name)
+            obs.set("repro_warm_pool_misses", pool.misses, pu.name)
+            obs.set("repro_pu_dram_used_mb", pu.dram_used_mb, pu.name)
         for pu in self.machine.pus.values():
             if self.health.is_down(pu):
                 value = 3  # crashed and not yet rebooted
             else:
                 value = BREAKER_STATE_VALUE[self.health.breaker(pu).state]
-            handles["breakers"][pu.pu_id].set(value)
+            obs.set("repro_breaker_state", value, pu.name)
         if self.frontend is not None:
-            self.obs.ensure_shard_metrics()
-            outstanding = self.obs.shard_outstanding
-            utilization = self.obs.shard_utilization
             for entry in self.frontend.snapshot():
-                label = str(entry["shard"])
-                outstanding.bind(shard=label).set(entry["outstanding"])
-                utilization.bind(shard=label).set(entry["utilization"])
+                shard = str(entry["shard"])
+                obs.set("repro_shard_outstanding", entry["outstanding"], shard)
+                obs.set("repro_shard_utilization", entry["utilization"], shard)
         if self.overload is not None:
-            self.obs.ensure_overload_metrics()
-            limit_g = self.obs.overload_limit
-            depth_g = self.obs.overload_queue_depth
             for gate in self.overload.gates():
-                limit_g.bind(shard=gate.label).set(gate.limiter.limit)
-                depth_g.bind(shard=gate.label).set(len(gate.queue))
-            self.obs.overload_pressure.set(self.overload.pressure())
+                obs.set("repro_overload_limit", gate.limiter.limit, gate.label)
+                obs.set("repro_overload_queue_depth", len(gate.queue), gate.label)
+            obs.set("repro_overload_pressure", self.overload.pressure())
         if self.reuse is not None:
-            self.obs.ensure_reuse_metrics()
-            self.obs.on_reuse_cache_state(
-                len(self.reuse.cache),
-                self.reuse.cache.bytes_used,
-                self.reuse.hit_rate(),
-            )
+            obs.set("repro_reuse_cache_entries", len(self.reuse.cache))
+            obs.set("repro_reuse_cache_bytes", self.reuse.cache.bytes_used)
+            obs.set("repro_reuse_hit_ratio", self.reuse.hit_rate())
 
     def metrics_snapshot(self, include_kernel: bool = False) -> dict:
         """A JSON-friendly dump of every metric family, gauges freshly
@@ -493,7 +460,16 @@ class MoleculeRuntime:
         """
         self._refresh_gauges()
         if include_kernel:
-            self.obs.record_kernel_profile(self.sim.kernel_profile())
+            profile = self.sim.kernel_profile()
+            obs = self.obs
+            obs.set("repro_kernel_events_processed", profile["events_processed"])
+            obs.set("repro_kernel_batches_drained", profile["batches_drained"])
+            obs.set("repro_kernel_heap_ops_avoided", profile["heap_ops_avoided"])
+            obs.set("repro_kernel_mean_batch_size", profile["mean_batch_size"])
+            for kind, count in profile["dispatched_by_kind"].items():
+                obs.set("repro_kernel_dispatched", count, kind)
+            for kind, entry in profile["slab"].items():
+                obs.set("repro_kernel_slab_hit_rate", entry["hit_rate"], kind)
         admitted = self.gateway.requests_admitted
         if self.frontend is not None:
             admitted += self.frontend.requests_admitted

@@ -292,7 +292,9 @@ class HealthRegistry:
 
     def _observe(self, pu, before: BreakerState, after: BreakerState) -> None:
         if self.obs is not None and before is not after:
-            self.obs.on_breaker_transition(pu.name, after.value)
+            self.obs.count(
+                "repro_breaker_transitions_total", pu.name, after.value
+            )
 
     # -- reporting ---------------------------------------------------------------
 
@@ -354,7 +356,7 @@ class DeadLetterQueue:
             self._entries.popleft()
             self.overflowed += 1
             if self.obs is not None:
-                self.obs.on_dead_letter_overflow()
+                self.obs.count("repro_dead_letter_overflow_total")
         return entry
 
     def entries(self) -> list[DeadLetter]:

@@ -257,7 +257,7 @@ class FanoutEngine:
         }
         self._seq = itertools.count(0)
         if runtime.obs is not None:
-            runtime.obs.ensure_fanout_metrics()
+            runtime.obs.ensure("fanout")
 
     @property
     def sim(self):
@@ -298,7 +298,7 @@ class FanoutEngine:
         start = sim.now
         self.jobs += 1
         if obs is not None:
-            obs.on_fanout_job(function)
+            obs.count("repro_fanout_jobs", function)
         trace = (
             obs.begin_invocation(function)
             if obs is not None else None
@@ -441,7 +441,7 @@ class FanoutEngine:
             self.batches += 1
             job_batches += 1
             if obs is not None:
-                obs.on_fanout_batch()
+                obs.count("repro_fanout_batches")
             if (self.config.admit_stagger_s > 0
                     and lo + chunk_size < len(futures)):
                 yield self.sim.timeout(self.config.admit_stagger_s)
@@ -476,7 +476,7 @@ class FanoutEngine:
         )
         self.task_samples.append(future.finished_s - future.dispatched_s)
         if obs is not None:
-            obs.on_fanout_task(function, future.outcome)
+            obs.count("repro_fanout_tasks", function, future.outcome)
 
     def _gather(self, futures: list[FanoutFuture], fdef) -> int:
         """Generator: threshold wait, then the straggler sweep."""
@@ -514,7 +514,7 @@ class FanoutEngine:
                 speculated += 1
                 self.speculations += 1
                 if obs is not None:
-                    obs.on_fanout_speculated(future.function)
+                    obs.count("repro_fanout_speculations", future.function)
 
     def _raise_partial_failure(self, function: str,
                                futures: list[FanoutFuture]) -> None:

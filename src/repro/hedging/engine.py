@@ -193,7 +193,7 @@ class HedgePolicy:
         #: sign the PU was the slow side of the race.
         self.pu_stats: dict[str, dict] = {}
         if runtime.obs is not None:
-            runtime.obs.ensure_hedge_metrics()
+            runtime.obs.ensure("hedge")
         # ``wire=False`` builds a free-standing policy (the fan-out
         # engine's straggler speculation) that must not become the
         # runtime-wide hedger: it is passed per request instead.
@@ -279,7 +279,7 @@ class HedgePolicy:
                 self.skipped += 1
                 self.throttled += 1
                 if self.runtime.obs is not None:
-                    self.runtime.obs.on_hedge_throttled(function.name)
+                    self.runtime.obs.count("repro_hedge_throttled", function.name)
                 return False
         state.fired = True
         state.exclude = primary_pu
@@ -287,7 +287,7 @@ class HedgePolicy:
         self.fired += 1
         self._pu_stat(primary_pu.name)["primaries"] += 1
         if self.runtime.obs is not None:
-            self.runtime.obs.on_hedge_fired(function.name)
+            self.runtime.obs.count("repro_hedge_fired", function.name)
         state.event = {
             "request_id": state.request_id,
             "function": function.name,
@@ -308,7 +308,7 @@ class HedgePolicy:
         if tag == "clone":
             self.won += 1
             if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_won(state.function.name)
+                self.runtime.obs.count("repro_hedge_won", state.function.name)
             if state.event is not None:
                 self._pu_stat(state.event["primary_pu"])["lost"] += 1
 
@@ -318,7 +318,7 @@ class HedgePolicy:
         if tag == "clone":
             self.cancelled += 1
             if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_cancelled(state.function.name)
+                self.runtime.obs.count("repro_hedge_cancelled", state.function.name)
             if state.event is not None and state.event["clone_pu"] is None:
                 used = attempt_info.get("pu")
                 if used is not None:
@@ -326,7 +326,10 @@ class HedgePolicy:
         if wasted_s > 0.0:
             self.wasted_s += wasted_s
             if self.runtime.obs is not None:
-                self.runtime.obs.on_hedge_wasted(state.function.name, wasted_s)
+                self.runtime.obs.count(
+                    "repro_hedge_wasted_seconds", state.function.name,
+                    n=wasted_s,
+                )
             if state.event is not None:
                 state.event["wasted_ms"] += round(wasted_s * 1000.0, 6)
 

@@ -185,7 +185,7 @@ class ShardedFrontend:
         self.policy = policy
         self.ring = HashRing(num_shards, vnodes=vnodes)
         if runtime.obs is not None:
-            runtime.obs.ensure_shard_metrics()
+            runtime.obs.ensure("shard")
         deadline = (
             default_deadline_s
             if default_deadline_s is not None
@@ -237,7 +237,9 @@ class ShardedFrontend:
         else:
             shard = self.shards[self.ring.route(function)]
         if self.runtime.obs is not None:
-            self.runtime.obs.on_shard_routed(shard.index, self.policy)
+            self.runtime.obs.count(
+                "repro_shard_routed_total", str(shard.index), self.policy
+            )
         return shard
 
     def _route_least_outstanding(self) -> GatewayShard:

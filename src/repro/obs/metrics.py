@@ -255,15 +255,41 @@ class MetricFamily:
         self.max_series = max_series
         self._child_factory = child_factory
         self._children: dict[tuple[str, ...], object] = {}
-        #: Memoized label-less child (label-less families are their own
-        #: single series; resolving it per observation is wasted work).
-        self._single: object = None
+
+    def child(self, *labelvalues: str):
+        """The child series for label values given positionally, in
+        declared label order.
+
+        The hot path is one dict probe.  A new series is validated
+        first: every declared label must be given as a string, and
+        the family may not outgrow ``max_series``.
+        """
+        child = self._children.get(labelvalues)
+        if child is None:
+            if len(labelvalues) != len(self.labelnames):
+                raise ObsError(
+                    f"metric {self.name!r} takes labels "
+                    f"{list(self.labelnames)}, got {len(labelvalues)} values"
+                )
+            for value in labelvalues:
+                if type(value) is not str:
+                    raise ObsError(
+                        f"metric {self.name!r} label values must be str, "
+                        f"got {value!r}"
+                    )
+            if len(self._children) >= self.max_series:
+                raise ObsError(
+                    f"metric {self.name!r} exceeded {self.max_series} series; "
+                    f"a label is unbounded (offending values: {labelvalues})"
+                )
+            child = self._children[labelvalues] = self._child_factory()
+        return child
 
     def labels(self, **labelvalues):
         """The child series for one label-value assignment.
 
         Every declared label must be given, and nothing else — silent
-        label drift is how dashboards rot.
+        label drift is how dashboards rot.  Values are stringified.
         """
         given = set(labelvalues)
         declared = set(self.labelnames)
@@ -274,38 +300,17 @@ class MetricFamily:
                 f"metric {self.name!r} labels mismatch: "
                 f"missing={sorted(missing)} unexpected={sorted(extra)}"
             )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            if len(self._children) >= self.max_series:
-                raise ObsError(
-                    f"metric {self.name!r} exceeded {self.max_series} series; "
-                    f"a label is unbounded (offending values: {key})"
-                )
-            child = self._child_factory()
-            self._children[key] = child
-        return child
-
-    def bind(self, **labelvalues):
-        """Resolve one label assignment to its child handle, once.
-
-        Identical to :meth:`labels`, but named for its intended use:
-        resolve at *wiring time* and keep the returned handle, calling
-        ``inc``/``set``/``observe`` on it directly — hot paths should
-        never pay the label-dict validation per observation.
-        """
-        return self.labels(**labelvalues)
+        return self.child(
+            *(str(labelvalues[name]) for name in self.labelnames)
+        )
 
     def _default_child(self):
-        child = self._single
-        if child is None:
-            if self.labelnames:
-                raise ObsError(
-                    f"metric {self.name!r} has labels {list(self.labelnames)}; "
-                    "use .labels(...)"
-                )
-            child = self._single = self.labels()
-        return child
+        if self.labelnames:
+            raise ObsError(
+                f"metric {self.name!r} has labels {list(self.labelnames)}; "
+                "use .labels(...)"
+            )
+        return self.child()
 
     # Label-less convenience: the family acts as its single child.
 

@@ -360,7 +360,7 @@ class OverloadController:
         self.prewarm_suppressed = 0
         self.degraded_forced = 0
         if runtime.obs is not None:
-            runtime.obs.ensure_overload_metrics()
+            runtime.obs.ensure("overload")
         runtime.invoker.overload = self
         # Bound the dead-letter queue so a sustained overload cannot
         # grow it without limit (drop-oldest; see DeadLetterQueue).
@@ -446,7 +446,7 @@ class OverloadController:
         })
         obs = self.runtime.obs
         if obs is not None:
-            obs.on_shed(function.name, reason)
+            obs.count("repro_shed_total", function.name, reason)
         raise RequestShed(
             f"request {request_id} for {function.name!r} shed at "
             f"admission ({reason})",
@@ -511,7 +511,7 @@ class OverloadController:
         self._brownout_since = self.sim.now
         self._set_hedge_throttle(True)
         if self.runtime.obs is not None:
-            self.runtime.obs.on_brownout(True)
+            self.runtime.obs.count("repro_overload_brownout_total", "enter")
 
     def _exit_brownout(self) -> None:
         self.brownout_active = False
@@ -520,7 +520,7 @@ class OverloadController:
             self._brownout_since = None
         self._set_hedge_throttle(False)
         if self.runtime.obs is not None:
-            self.runtime.obs.on_brownout(False)
+            self.runtime.obs.count("repro_overload_brownout_total", "exit")
 
     def _set_hedge_throttle(self, active: bool) -> None:
         if not self.config.throttle_hedges:

@@ -106,7 +106,7 @@ class ReuseEngine:
         self.shed_downgrades = 0
         self.bypass_by_reason: dict[str, int] = {}
         if runtime.obs is not None:
-            runtime.obs.ensure_reuse_metrics()
+            runtime.obs.ensure("reuse")
         runtime.invoker.reuse = self
 
     @property
@@ -163,7 +163,7 @@ class ReuseEngine:
             if flight is None:
                 self.misses += 1
                 if self.runtime.obs is not None:
-                    self.runtime.obs.on_reuse_miss(name)
+                    self.runtime.obs.count("repro_reuse_misses", name)
                 return (None, self.flights.begin(key))
             waiter = self.flights.join(flight, sim)
             yield waiter
@@ -234,14 +234,12 @@ class ReuseEngine:
             self.served_fresh += 1
         obs = self.runtime.obs
         if obs is not None:
-            obs.on_reuse_hit(
-                function.name, "stale" if hit.stale else hit.reason
+            obs.count(
+                "repro_reuse_hits", function.name,
+                "stale" if hit.stale else hit.reason,
             )
             if hit.stale:
-                obs.on_reuse_stale(hit.reason)
-            obs.on_reuse_cache_state(
-                len(self.cache), self.cache.bytes_used, self.hit_rate()
-            )
+                obs.count("repro_reuse_stale", hit.reason)
 
     def note_executed(self) -> None:
         """One request answered by real execution (cacheable or not)."""
@@ -258,7 +256,7 @@ class ReuseEngine:
             self.bypass_by_reason.get(reason, 0) + 1
         )
         if self.runtime.obs is not None:
-            self.runtime.obs.on_reuse_bypass(reason)
+            self.runtime.obs.count("repro_reuse_bypass", reason)
 
     def fill(self, flight: Flight, function: "FunctionDef", result,
              payload_bytes: int) -> CacheEntry:
@@ -285,12 +283,9 @@ class ReuseEngine:
         obs = self.runtime.obs
         if obs is not None:
             if evicted:
-                obs.on_reuse_evicted(len(evicted))
+                obs.count("repro_reuse_evictions", n=len(evicted))
             if served:
-                obs.on_reuse_singleflight(name, served)
-            obs.on_reuse_cache_state(
-                len(self.cache), self.cache.bytes_used, self.hit_rate()
-            )
+                obs.count("repro_reuse_singleflight", name, n=served)
         return entry
 
     def abort(self, flight: Flight) -> None:
@@ -303,7 +298,7 @@ class ReuseEngine:
         generation check also catches entries lazily)."""
         dropped = self.cache.invalidate_function(name)
         if dropped and self.runtime.obs is not None:
-            self.runtime.obs.on_reuse_invalidated(dropped)
+            self.runtime.obs.count("repro_reuse_invalidations", n=dropped)
         return dropped
 
     # -- reporting ---------------------------------------------------------------------

@@ -119,7 +119,10 @@ class SandboxRuntime:
         """Report one OCI verb's duration (``began_s`` is the sim time
         captured at the verb's entry)."""
         if self.obs is not None:
-            self.obs.on_sandbox_verb(self.runtime_name, verb, self.sim.now - began_s)
+            self.obs.observe(
+                "repro_sandbox_verb_seconds", self.sim.now - began_s,
+                self.runtime_name, verb,
+            )
 
     # -- OCI scalar interface -------------------------------------------------------
 

@@ -124,7 +124,7 @@ class WarmPathEngine:
 
         obs = runtime.obs
         if obs is not None:
-            obs.ensure_warmpath_metrics()
+            obs.ensure("warmpath")
         runtime.invoker.engine = self
         if self.config.prewarm or self.config.prefetch:
             runtime.sim.spawn(self._prewarm_loop(), name="warmpath-prewarmer")
@@ -292,7 +292,7 @@ class WarmPathEngine:
         self.coalesced_served += 1
         obs = self.runtime.obs
         if obs is not None:
-            obs.on_coalesced_start(func_name)
+            obs.count("repro_coalesced_starts", func_name)
 
     # -- pre-warm accounting ---------------------------------------------------------
 
@@ -305,7 +305,7 @@ class WarmPathEngine:
                 self._outcomes.append(False)
                 obs = self.runtime.obs
                 if obs is not None:
-                    obs.on_prewarm_hit(instance.function.name)
+                    obs.count("repro_prewarm_hits", instance.function.name)
 
     def on_warm_acquire(self, instance: "FunctionInstance") -> None:
         """Invoker hook: a warm-pool acquire is about to serve a request."""
@@ -330,7 +330,7 @@ class WarmPathEngine:
             self._outcomes.append(True)
             obs = self.runtime.obs
             if obs is not None:
-                obs.on_prewarm_wasted(instance.function.name)
+                obs.count("repro_prewarm_wasted", instance.function.name)
 
     # -- the PreWarmer process -------------------------------------------------------
 
@@ -394,7 +394,7 @@ class WarmPathEngine:
                 continue
             predicted = self.predictor.predicted_rps(name, now)
             if obs is not None:
-                obs.on_predicted_rps(name, predicted)
+                obs.set("repro_predicted_rps", predicted, name)
             if self.config.adaptive_ttl:
                 self._adapt_ttl(function)
             if self.config.prewarm:
@@ -482,7 +482,7 @@ class WarmPathEngine:
         self.prewarm_spawned += 1
         obs = self.runtime.obs
         if obs is not None:
-            obs.on_prewarm_spawned(function.name)
+            obs.count("repro_prewarm_spawned", function.name)
         if not invoker._is_alive(instance):
             invoker.sim.spawn(invoker._destroy(instance))
             return
@@ -513,7 +513,7 @@ class WarmPathEngine:
                 reaped += 1
         self.prewarm_reaped += reaped
         if reaped and self.runtime.obs is not None:
-            self.runtime.obs.on_keepalive_reaped(reaped)
+            self.runtime.obs.count("repro_keepalive_reaped_total", n=reaped)
 
     # -- bitstream prefetch ----------------------------------------------------------
 
@@ -588,7 +588,7 @@ class WarmPathEngine:
         self.prefetch_started += 1
         obs = runtime.obs
         if obs is not None:
-            obs.on_bitstream_prefetch_started(function.name)
+            obs.count("repro_bitstream_prefetch_started", function.name)
         # The previous image (and any unclaimed marks on it) is gone.
         self._prefetched = {
             (pu_id, name) for pu_id, name in self._prefetched
@@ -623,7 +623,7 @@ class WarmPathEngine:
             self.prefetch_hits += 1
             obs = self.runtime.obs
             if obs is not None:
-                obs.on_bitstream_prefetch_hit(func_name)
+                obs.count("repro_bitstream_prefetch_hits", func_name)
 
     # -- reporting -------------------------------------------------------------------
 

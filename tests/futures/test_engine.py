@@ -35,7 +35,7 @@ def test_engine_off_matches_golden_snapshot():
 def test_engine_off_runtime_has_no_fanout_surface():
     runtime = MoleculeRuntime.create(num_dpus=1, seed=3)
     assert runtime.fanout is None
-    assert runtime.obs.fanout_jobs_total is None
+    assert "repro_fanout_jobs" not in runtime.obs.registry.to_dict()
 
 
 # -- map / map_reduce correctness --------------------------------------------------

@@ -195,6 +195,28 @@ def test_family_cardinality_cap():
     assert fam.labels(a="0").value == 2
 
 
+def test_family_child_is_positional_and_shared_with_labels():
+    r = MetricsRegistry()
+    fam = r.counter("x_total", "help.", ("a", "b"))
+    fam.child("1", "2").inc()
+    assert fam.child("1", "2") is fam.labels(b="2", a="1")
+    assert fam.labels(a=1, b=2).value == 1  # labels() stringifies
+
+
+def test_family_child_validates_new_series():
+    r = MetricsRegistry(max_series_per_family=1)
+    fam = r.counter("x_total", "help.", ("a",))
+    with pytest.raises(ObsError, match="takes labels"):
+        fam.child()
+    with pytest.raises(ObsError, match="takes labels"):
+        fam.child("1", "2")
+    with pytest.raises(ObsError, match="must be str"):
+        fam.child(1)
+    fam.child("1")
+    with pytest.raises(ObsError, match="exceeded 1 series"):
+        fam.child("2")
+
+
 def test_histogram_family_has_no_total():
     r = MetricsRegistry()
     fam = r.histogram("h_seconds", "help.", ("a",), buckets=(1.0,))

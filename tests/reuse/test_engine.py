@@ -203,6 +203,26 @@ def test_concurrent_identical_misses_execute_once():
     assert reuse.conserved(answered=3)
 
 
+def test_snapshot_gauges_report_the_cache_state():
+    """The occupancy gauges have one writer, the snapshot: hits and
+    fills leave them alone, and a snapshot samples the live cache."""
+    runtime = _runtime()
+    for key in ("a", "b", "a", "c", "a", "b"):
+        runtime.invoke_now("memo", input_key=key)
+    registry = runtime.obs.registry
+    gauges = ("repro_reuse_cache_entries", "repro_reuse_cache_bytes",
+              "repro_reuse_hit_ratio")
+    assert all(registry.get(name).series() == [] for name in gauges)
+    metrics = runtime.metrics_snapshot()["metrics"]
+    values = [metrics[name]["series"][0]["value"] for name in gauges]
+    reuse = runtime.reuse
+    assert values == [
+        len(reuse.cache), reuse.cache.bytes_used, reuse.hit_rate()
+    ]
+    assert values[0] == 3
+    assert values[2] == pytest.approx(0.5)
+
+
 # -- invalidation ------------------------------------------------------------------
 
 
