@@ -1,8 +1,13 @@
 """Tests for the EXPERIMENTS.md generator."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.writeup import generate
+from repro.cli import main
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +45,10 @@ def test_report_is_valid_markdown_tables(report):
     for line in report.splitlines():
         if line.startswith("|"):
             assert line.endswith("|"), line
+
+
+def test_checked_in_experiments_md_matches_repro_report(capsys):
+    # The checked-in record must be exactly what ``repro report`` prints
+    # now, so a change that moves any paper number shows up here.
+    assert main(["report"]) == 0
+    assert capsys.readouterr().out == EXPERIMENTS_MD.read_text()
