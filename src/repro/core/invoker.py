@@ -523,6 +523,11 @@ class Invoker:
                 trace.unwind()
                 self._expire(function, request_id, attempts, errors)
             # -- transient or terminal failure --------------------------------------
+            # The error's traceback now runs through this frame, so no
+            # local may keep the error (or the attempt holding it) once
+            # it is handled: frame and error would form a cycle that
+            # outlives the request.
+            proc = race = None
             trace.unwind()
             errors.append(f"{type(failure).__name__}: {failure}")
             used = attempt_info.get("pu")
@@ -530,11 +535,15 @@ class Invoker:
                 self.health.record_failure(used)
             if not self._retryable(failure):
                 self._dead_letter(function, request_id, attempts, errors, "error")
-                raise failure
+                try:
+                    raise failure
+                finally:
+                    failure = None
             if attempts >= max_attempts:
                 self._dead_letter(
                     function, request_id, attempts, errors, "retries_exhausted"
                 )
+                failure = None
                 raise RetriesExhaustedError(
                     f"request {request_id} for {function.name!r} failed "
                     f"{attempts} attempt(s): {errors[-1]}",
@@ -554,6 +563,7 @@ class Invoker:
             )
             yield self.sim.timeout(backoff)
             trace.end_phase(retry_span)
+            failure = None
 
     def _attempt(
         self, function, request_id, kind, pu, force_cold,

@@ -300,7 +300,7 @@ class Process(Event):
             self._finish(True, stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self._finish(False, exc)
+            self._finish(False, _strip_kernel_frame(exc))
             return
         if not isinstance(event, Event):
             exc = SimulationError(
@@ -311,7 +311,7 @@ class Process(Event):
             except StopIteration as stop:
                 self._finish(True, stop.value)
             except BaseException as err:  # noqa: BLE001
-                self._finish(False, err)
+                self._finish(False, _strip_kernel_frame(err))
             return
         if event._state == _PROCESSED:
             # Already-processed targets resume us directly (next step)
@@ -329,7 +329,36 @@ class Process(Event):
         self._ok = ok
         self._value = value
         self._state = _TRIGGERED
+        # Nothing resumes a finished process, and the cached bound method
+        # is a self-reference: dropping it lets reference counting free
+        # the process the moment its last outside reference goes.
+        self._resume_cb = None
         self.sim._enqueue(self, delay=0.0, priority=NORMAL)
+
+
+def _strip_kernel_frame(exc: BaseException) -> BaseException:
+    """Drop :meth:`Process._do_resume`'s own frame from ``exc``'s traceback.
+
+    The traceback of an exception caught in ``_do_resume`` starts at that
+    frame, whose ``self`` is the process about to store ``exc`` as its
+    value: a process -> exception -> traceback -> frame -> process cycle.
+    The frames below it, the simulated code's, are kept.
+    """
+    tb = exc.__traceback__
+    if tb is not None:
+        exc.__traceback__ = tb.tb_next
+    return exc
+
+
+def _defuse_late(event: Event) -> None:
+    """A resolved condition's callback on a child that fires late.
+
+    Exactly what ``_on_child`` does once its condition has fired: a late
+    failure is handled, not raised out of ``run()``.  Being a plain
+    function, it holds no reference back to the condition.
+    """
+    if not event._ok:
+        event._defused = True
 
 
 class Condition(Event):
@@ -350,11 +379,32 @@ class Condition(Event):
                 raise SimulationError("condition mixes events of two simulators")
             if event._state == _PROCESSED:
                 on_child(event)
-            else:
+            elif self._state == _PENDING:
                 event.callbacks.append(on_child)
+            else:
+                # Resolved on an earlier, already-processed child.
+                event.callbacks.append(_defuse_late)
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
+
+    def _release_children(self) -> None:
+        """Swap this resolved condition's callback on every child that
+        has not fired for :func:`_defuse_late`, in the same slot.
+
+        A pending child's callback list would otherwise keep the
+        condition (and through it every child) alive until the child
+        fires.  Replacing in place keeps the slot indices that
+        :meth:`Process.interrupt` tombstones by exact.
+        """
+        on_child = self._on_child
+        for event in self.events:
+            if event._state == _PROCESSED:
+                continue
+            callbacks = event.callbacks
+            for slot, callback in enumerate(callbacks):
+                if callback == on_child:
+                    callbacks[slot] = _defuse_late
 
     def _values(self) -> dict[Event, Any]:
         return {
@@ -377,11 +427,13 @@ class AllOf(Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._release_children()
             return
         self._done += 1
         if self._done == len(self.events):
             # Every child is processed-and-ok here by construction, so
-            # skip the generic per-child state filtering.
+            # skip the generic per-child state filtering (and no child
+            # is left to release).
             self.succeed({ev: ev._value for ev in self.events})
 
 
@@ -398,8 +450,9 @@ class AnyOf(Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-            return
-        self.succeed(self._values())
+        else:
+            self.succeed(self._values())
+        self._release_children()
 
 
 class Simulator:
