@@ -136,10 +136,16 @@ class CircuitBreaker:
             return not self.probe_in_flight
         return True
 
-    def begin_attempt(self, now: float) -> None:
-        """Mark an attempt in flight (claims the half-open probe slot)."""
-        if self.state is BreakerState.HALF_OPEN:
+    def begin_attempt(self, now: float) -> bool:
+        """Mark an attempt in flight (claims the half-open probe slot).
+
+        True when this attempt claimed the probe slot, i.e. when the
+        breaker stopped admitting further attempts.
+        """
+        if self.state is BreakerState.HALF_OPEN and not self.probe_in_flight:
             self.probe_in_flight = True
+            return True
+        return False
 
     def record_success(self, now: float) -> None:
         """An attempt on this PU completed: close the breaker."""
@@ -272,9 +278,13 @@ class HealthRegistry:
     # -- attempt outcomes ----------------------------------------------------------
 
     def begin_attempt(self, pu: "ProcessingUnit") -> None:
-        """An attempt is about to target ``pu`` (claims probe slots)."""
-        self.breaker(pu).begin_attempt(self.sim.now)
-        self._bump()
+        """An attempt is about to target ``pu`` (claims probe slots).
+
+        Only a claimed probe slot changes availability; an attempt on a
+        CLOSED breaker leaves the scheduler's candidate cache valid.
+        """
+        if self.breaker(pu).begin_attempt(self.sim.now):
+            self._bump()
 
     def record_success(self, pu: "ProcessingUnit") -> None:
         """An attempt on ``pu`` succeeded."""

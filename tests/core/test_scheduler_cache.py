@@ -105,3 +105,35 @@ def test_candidates_per_kind_cached_independently():
     trip_breaker(health, dpu)
     assert dpu not in scheduler.candidates(f, kind=PuKind.DPU)
     assert scheduler.candidates(f, kind=PuKind.CPU) == cpu_only
+
+
+def test_attempt_on_closed_breaker_keeps_the_cache():
+    _sim, machine, health, scheduler = make()
+    f = fn()
+    dpu = machine.pus_of_kind(PuKind.DPU)[0]
+    first = scheduler.candidates(f)
+    version = health.version
+    health.begin_attempt(dpu)
+    assert health.version == version
+    assert scheduler.candidates(f) is first
+
+
+def test_probe_claim_bumps_version_and_drops_the_pu():
+    sim, machine, health, scheduler = make(open_s=30.0)
+    f = fn()
+    dpu = machine.pus_of_kind(PuKind.DPU)[0]
+    trip_breaker(health, dpu)
+
+    def wait(sim):
+        yield sim.timeout(31.0)
+
+    sim.spawn(wait(sim))
+    sim.run()
+    assert dpu in scheduler.candidates(f)  # HALF_OPEN admits one probe
+    version = health.version
+    health.begin_attempt(dpu)  # claims the probe slot
+    assert health.version == version + 1
+    assert dpu not in scheduler.candidates(f)
+    # A second attempt finds the slot taken: nothing changes.
+    health.begin_attempt(dpu)
+    assert health.version == version + 1
