@@ -1,8 +1,10 @@
 """Tests for warm pools and FPGA image planning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.keepalive import FpgaImagePlanner, WarmPool
+from repro.core.keepalive import FpgaImagePlanner, GdsfWarmPool, WarmPool
 from repro.errors import SchedulingError
 
 
@@ -164,3 +166,40 @@ def test_planner_invalid_config_rejected():
         FpgaImagePlanner(copies_each=0)
     with pytest.raises(SchedulingError):
         FpgaImagePlanner(copies_each=4, max_instances=2)
+
+
+# One pool operation: (verb, function, clock step).
+_POOL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("acquire", "release", "reap", "drop")),
+        st.sampled_from("abcd"),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=_POOL_OPS,
+    pool_cls=st.sampled_from((WarmPool, GdsfWarmPool)),
+    capacity=st.integers(min_value=1, max_value=5),
+)
+def test_pool_length_tracks_idle_instances(ops, pool_cls, capacity):
+    """The running idle count equals the instances actually pooled
+    after every acquire, release (with evictions), reap and drop."""
+    pool = pool_cls(capacity, keep_alive_ttl_s=4.0)
+    pool.ttl_overrides["a"] = 2.0
+    now = 0.0
+    for verb, name, step in ops:
+        now += step
+        if verb == "acquire":
+            pool.acquire(name)
+        elif verb == "release":
+            pool.release(FakeInstance(name), now=now)
+        elif verb == "reap":
+            pool.reap_expired(now)
+        else:
+            pool.drop_all(name)
+        assert len(pool) == len(pool.idle_instances())
+        assert len(pool) <= capacity
