@@ -304,37 +304,6 @@ class MetricFamily:
             *(str(labelvalues[name]) for name in self.labelnames)
         )
 
-    def _default_child(self):
-        if self.labelnames:
-            raise ObsError(
-                f"metric {self.name!r} has labels {list(self.labelnames)}; "
-                "use .labels(...)"
-            )
-        return self.child()
-
-    # Label-less convenience: the family acts as its single child.
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Increment the label-less series."""
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Decrement the label-less gauge series."""
-        self._default_child().dec(amount)
-
-    def set(self, value: float) -> None:
-        """Set the label-less gauge series."""
-        self._default_child().set(value)
-
-    def observe(self, value: float) -> None:
-        """Observe into the label-less histogram series."""
-        self._default_child().observe(value)
-
-    @property
-    def value(self) -> float:
-        """Value of the label-less series."""
-        return self._default_child().value
-
     def series(self) -> list[tuple[dict[str, str], object]]:
         """(labels dict, child) pairs in sorted label order."""
         return [

@@ -9,7 +9,7 @@ def test_counter_and_gauge_exposition_golden():
     c.labels(code="200").inc(3)
     c.labels(code="500").inc()
     g = r.gauge("demo_temperature", "Current temperature.")
-    g.set(36.6)
+    g.child().set(36.6)
     assert r.expose() == (
         "# HELP demo_requests_total Requests served.\n"
         "# TYPE demo_requests_total counter\n"

@@ -164,15 +164,16 @@ def test_family_children_are_distinct_series():
 
 
 def test_family_labelless_delegation():
+    """A label-less family has exactly one series: ``child()``."""
     r = MetricsRegistry()
     c = r.counter("plain_total", "help.")
-    c.inc(2)
-    assert c.value == 2
+    c.child().inc(2)
+    assert c.child().value == 2
     g = r.gauge("g", "help.")
-    g.set(7)
-    assert g.value == 7
+    g.child().set(7)
+    assert g.child().value == 7
     h = r.histogram("h_seconds", "help.", buckets=(1.0,))
-    h.observe(0.5)
+    h.child().observe(0.5)
     assert h.labels().count == 1
 
 
@@ -180,7 +181,7 @@ def test_family_labelless_delegation_rejected_with_labels():
     r = MetricsRegistry()
     fam = r.counter("x_total", "help.", ("a",))
     with pytest.raises(ObsError):
-        fam.inc()
+        fam.child()
 
 
 def test_family_cardinality_cap():

@@ -78,7 +78,7 @@ def test_counter_totals_equal_requests_admitted(plan):
     assert molecule.gateway.requests_admitted == n
     assert registry.get("repro_requests_total").total() == n
     assert registry.get("repro_starts_total").total() == n
-    assert registry.get("repro_gateway_requests_total").value == n
+    assert registry.get("repro_gateway_requests_total").child().value == n
     by_function: dict[str, int] = {}
     for labels, child in registry.get("repro_requests_total").series():
         by_function[labels["function"]] = (
