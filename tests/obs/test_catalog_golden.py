@@ -25,29 +25,10 @@ from repro.loadgen import run_load
 from tests.futures import test_golden_fanout_trace as fanout_golden
 from tests.hedging import test_golden_hedge_trace as hedge_golden
 from tests.loadgen import test_golden_trace as load_golden
-from tests.support import warm_cold_mix_runtime
+from tests.support import capture_runtime, warm_cold_mix_runtime
 
 DATA = Path(__file__).parent / "data" / "catalog_golden.json"
 QUICK_SEED = 42
-
-
-def _capture_runtime(module, run):
-    """Call ``run()`` with ``module.build_runtime`` wrapped; return the
-    last runtime it booted."""
-    real = module.build_runtime
-    booted = []
-
-    def spy(*args, **kwargs):
-        runtime, frontend = real(*args, **kwargs)
-        booted.append(runtime)
-        return runtime, frontend
-
-    module.build_runtime = spy
-    try:
-        run()
-    finally:
-        module.build_runtime = real
-    return booted[-1]
 
 
 def _warm_cold_mix():
@@ -55,23 +36,23 @@ def _warm_cold_mix():
 
 
 def _load_replay():
-    return _capture_runtime(
+    return capture_runtime(
         load_golden, lambda: load_golden._replay(load_golden._load_plan())
     )
 
 
 def _hedge_replay():
-    return _capture_runtime(
+    return capture_runtime(
         hedge_golden, lambda: hedge_golden._replay(hedge_golden._load_plan())
     )
 
 
 def _fanout_replay():
-    return _capture_runtime(fanout_golden, fanout_golden._replay)
+    return capture_runtime(fanout_golden, fanout_golden._replay)
 
 
 def _zipf_reuse():
-    return _capture_runtime(scenarios, lambda: run_load(
+    return capture_runtime(scenarios, lambda: run_load(
         "zipf", seed=QUICK_SEED, quick=True, reuse=True
     ))
 
@@ -79,13 +60,13 @@ def _zipf_reuse():
 def _fanout_warmpath():
     # The fan-out golden replay runs without the warm path; the canned
     # fanout scenario arms it.
-    return _capture_runtime(scenarios, lambda: run_load(
+    return capture_runtime(scenarios, lambda: run_load(
         "fanout", seed=QUICK_SEED, quick=True
     ))
 
 
 def _overload():
-    return _capture_runtime(scenarios, lambda: run_load(
+    return capture_runtime(scenarios, lambda: run_load(
         "overload", seed=QUICK_SEED, quick=True, overload=True
     ))
 

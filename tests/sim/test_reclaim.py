@@ -19,6 +19,7 @@ from repro import FunctionCode, FunctionDef, Language, MoleculeRuntime, PuKind, 
 from repro.errors import ReproError, RetriesExhaustedError, SchedulingError
 from repro.loadgen import run_load
 from repro.sim import Simulator
+from tests.support import capture_runtime
 
 
 @contextmanager
@@ -218,22 +219,13 @@ REPLAYS = {
 
 @pytest.mark.parametrize("scenario", list(REPLAYS))
 def test_replay_leaves_no_cyclic_garbage(scenario):
-    real = scenarios.build_runtime
-    booted = []
-
-    def spy(*args, **kwargs):
-        runtime, frontend = real(*args, **kwargs)
-        booted.append(runtime)
-        return runtime, frontend
-
-    scenarios.build_runtime = spy
-    try:
-        with collector_off():
-            report = run_load(scenario, seed=42, quick=True, **REPLAYS[scenario])
-            # The runtime stays referenced: only what the requests left
-            # behind can be unreachable.
-            assert booted
-            assert report["load"]["admitted"] > 0
-            assert unreachable() == Counter()
-    finally:
-        scenarios.build_runtime = real
+    with collector_off():
+        # The runtime stays referenced: only what the requests left
+        # behind can be unreachable.
+        reports = []
+        runtime = capture_runtime(scenarios, lambda: reports.append(run_load(
+            scenario, seed=42, quick=True, **REPLAYS[scenario]
+        )))
+        assert reports[0]["load"]["admitted"] > 0
+        assert unreachable() == Counter()
+        del runtime

@@ -78,6 +78,25 @@ def warm_cold_mix_runtime(seed: int = GOLDEN_SEED):
     return molecule
 
 
+def capture_runtime(module, run):
+    """Call ``run()`` with ``module.build_runtime`` wrapped; return the
+    last runtime it booted."""
+    real = module.build_runtime
+    booted = []
+
+    def spy(*args, **kwargs):
+        runtime, frontend = real(*args, **kwargs)
+        booted.append(runtime)
+        return runtime, frontend
+
+    module.build_runtime = spy
+    try:
+        run()
+    finally:
+        module.build_runtime = real
+    return booted[-1]
+
+
 def build_testbed(num_dpus: int = 1, dpu_model: str = "bf1", full: bool = False) -> Testbed:
     """A CPU+DPU (optionally +FPGA/GPU) machine with shims installed."""
     sim = Simulator()
